@@ -24,7 +24,6 @@ trajectory.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.phased import clear_solve_cache
 from repro.core.suu_c import SUUCPolicy

@@ -110,6 +110,7 @@ from repro.errors import (
     ScheduleViolationError,
     SimulationHorizonError,
     UnknownPolicyError,
+    WorkerCrashError,
 )
 from repro.instance import (
     PrecedenceClass,
@@ -271,4 +272,5 @@ __all__ = [
     "DecompositionError",
     "UnknownPolicyError",
     "InvalidScenarioError",
+    "WorkerCrashError",
 ]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from repro.analysis.bounds import lower_bound
 from repro.analysis.tables import format_table
@@ -40,22 +39,8 @@ from repro.api.registry import (
 from repro.api.scenario import FAILURE_MODELS, SCENARIO_SHAPES, Scenario, SimConfig
 from repro.api.service import evaluate_grid, simulate
 from repro.instance import load_instance, save_instance
-from repro.kernels import KERNELS
 from repro.sim.engine import run_policy
 from repro.sim.trace import TracingPolicy, render_gantt
-
-
-def __getattr__(name: str):
-    if name == "POLICIES":
-        # The PR-1 deprecation shim is gone; the registry is the only
-        # source of truth.  (Raising AttributeError makes `from
-        # repro.__main__ import POLICIES` fail with an ImportError too.)
-        raise AttributeError(
-            "repro.__main__.POLICIES was removed: the policy table lives in "
-            "repro.api.registry — use repro.api.get_policy(name) / "
-            "repro.api.list_policies()"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -76,17 +61,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _default_policy_for(inst) -> str:
-    """Deprecated alias for :func:`repro.api.registry.default_policy_for`."""
-    warnings.warn(
-        "repro.__main__._default_policy_for moved to "
-        "repro.api.default_policy_for",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return default_policy_for(inst)
-
-
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
     name = args.policy or default_policy_for(inst)
@@ -94,19 +68,13 @@ def _cmd_run(args) -> int:
         inst,
         name,
         SimConfig(n_trials=args.trials, seed=args.seed, max_steps=args.max_steps,
-                  discipline=args.discipline, kernel=args.kernel,
-                  kernel_threads=args.kernel_threads),
+                  discipline=args.discipline),
         backend=args.backend,
         n_workers=args.workers,
     )
     lo, hi = report.stats.ci95
     print(f"instance: {inst}")
     print(f"policy:   {report.policy}")
-    if report.kernel is not None:
-        threads = report.kernel.get("threads", 1)
-        if report.kernel["active"] != "numpy" or threads > 1:
-            suffix = f" (threads={threads})" if threads > 1 else ""
-            print(f"kernel:   {report.kernel['active']}{suffix}")
     print(f"E[T] = {report.mean:.3f} steps   95% CI [{lo:.3f}, {hi:.3f}] "
           f"({args.trials} trials)")
     print(f"lower bound = {report.lower_bound:.3f}   "
@@ -164,8 +132,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed_instance,
     )
     config = SimConfig(n_trials=args.trials, seed=args.seed,
-                       max_steps=args.max_steps, discipline=args.discipline,
-                       kernel=args.kernel, kernel_threads=args.kernel_threads)
+                       max_steps=args.max_steps, discipline=args.discipline)
     reports = evaluate_grid(
         grid,
         args.policy or ("auto",),
@@ -198,24 +165,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
-    import os
     import signal
 
-    from repro.kernels import KERNEL_ENV_VAR, KERNEL_THREADS_ENV_VAR
     from repro.server import SchedulingServer, make_executor
 
-    if args.kernel is not None:
-        # The serve knob is process-wide: exporting it makes the serial
-        # executor, request-time resolution, and /healthz all agree, and
-        # warm-pool workers get it explicitly through the initializer.
-        os.environ[KERNEL_ENV_VAR] = args.kernel
-    if args.kernel_threads is not None:
-        # Same process-wide story for the trial-parallel worker count.
-        os.environ[KERNEL_THREADS_ENV_VAR] = str(args.kernel_threads)
     executor = make_executor(args.executor, args.workers,
-                             solve_cache_entries=args.solve_cache,
-                             kernel=args.kernel,
-                             kernel_threads=args.kernel_threads)
+                             solve_cache_entries=args.solve_cache)
 
     async def _main() -> None:
         server = SchedulingServer(
@@ -361,12 +316,6 @@ def main(argv=None) -> int:
     r.add_argument("--discipline", choices=["v1", "v2"], default=None,
                    help="RNG discipline (default: $REPRO_DISCIPLINE or v1; "
                         "v2 = batch-native draws, statistically equivalent)")
-    r.add_argument("--kernel", choices=KERNELS, default=None,
-                   help="hot-loop kernel backend (default: $REPRO_KERNEL or "
-                        "numpy; numba = JIT-compiled, bit-identical samples)")
-    r.add_argument("--kernel-threads", type=int, default=None,
-                   help="trial-parallel workers per batch (default: "
-                        "$REPRO_KERNEL_THREADS or 1; bit-identical samples)")
     r.set_defaults(func=_cmd_run)
 
     ga = sub.add_parser("gantt", help="render one execution as ASCII")
@@ -405,12 +354,6 @@ def main(argv=None) -> int:
     s.add_argument("--workers", type=int, default=None)
     s.add_argument("--discipline", choices=["v1", "v2"], default=None,
                    help="RNG discipline (default: $REPRO_DISCIPLINE or v1)")
-    s.add_argument("--kernel", choices=KERNELS, default=None,
-                   help="hot-loop kernel backend (default: $REPRO_KERNEL or "
-                        "numpy)")
-    s.add_argument("--kernel-threads", type=int, default=None,
-                   help="trial-parallel workers per batch (default: "
-                        "$REPRO_KERNEL_THREADS or 1)")
     s.add_argument("--json", default=None, help="also dump reports to this file")
     s.set_defaults(func=_cmd_sweep)
 
@@ -436,13 +379,6 @@ def main(argv=None) -> int:
                     help="max concurrently executing requests (default 8)")
     sv.add_argument("--drain-timeout", type=float, default=10.0,
                     help="seconds to wait for in-flight requests at shutdown")
-    sv.add_argument("--kernel", choices=KERNELS, default=None,
-                    help="hot-loop kernel backend for the whole service "
-                         "(default: $REPRO_KERNEL or numpy); warm-pool "
-                         "workers pre-compile it at pool start-up")
-    sv.add_argument("--kernel-threads", type=int, default=None,
-                    help="trial-parallel workers per batch, service-wide "
-                         "(default: $REPRO_KERNEL_THREADS or 1)")
     sv.add_argument("--no-prewarm", dest="prewarm", action="store_false",
                     help="skip building the worker pool before accepting "
                          "traffic (first request then pays the spawn cost)")

@@ -63,7 +63,10 @@ import numpy as np
 from repro.core.phased import RoundScheduleCache
 from repro.core.suu_i_sem import paper_round_count
 from repro.errors import ReproError
-from repro.kernels import _stepimpl, active_backend
+from repro.kernels import numpy_backend
+from repro.kernels.numpy_backend import KIND_BLOCK as _KIND_BLOCK
+from repro.kernels.numpy_backend import KIND_END as _KIND_END
+from repro.kernels.numpy_backend import KIND_PAUSE as _KIND_PAUSE
 from repro.schedule.base import IDLE, IntegralAssignment
 from repro.schedule.oblivious import FiniteObliviousSchedule
 from repro.schedule.pseudo import Pause
@@ -74,18 +77,6 @@ __all__ = ["ChainCursorBatch", "long_repeat_schedule", "prelude_rows"]
 _SUPER = 0
 _SEM = 1
 _FALLBACK = 2
-
-# Item-kind codes in the flattened chain-program tables.  The kernel
-# backends (repro.kernels) hard-code the same values in their fused
-# chain transitions, so a drift here would silently corrupt cursors.
-_KIND_BLOCK = 0
-_KIND_PAUSE = 1
-_KIND_END = 2
-assert (_KIND_BLOCK, _KIND_PAUSE, _KIND_END) == (
-    _stepimpl.KIND_BLOCK,
-    _stepimpl.KIND_PAUSE,
-    _stepimpl.KIND_END,
-)
 
 
 def long_repeat_schedule(plan, jobs, n_machines: int, n_jobs: int):
@@ -296,11 +287,6 @@ class ChainCursorBatch:
         #: Signature encoding base: ``pos * tmult + tau`` is collision-free
         #: because ``tau`` never reaches a block's effective length.
         self._tmult = int(self._need.max()) + 1 if C else 2
-        #: Kernel backend driving the whole-batch (trials, chains)
-        #: transitions — bound at construction so the cursors keep one
-        #: backend for their lifetime (run_policy_batch installs the
-        #: run's resolved backend via repro.kernels.kernel_context).
-        self._kernel = active_backend()
 
         # The ISSUE's matrices: chain cursors as (n_trials, n_chains) ints.
         self.chain_pos = np.zeros((B, C), dtype=np.int64)
@@ -317,8 +303,8 @@ class ChainCursorBatch:
         # Superstep expansions memoized by encoded (chain -> item, tau)
         # signature bytes — the transition memo shared across trials and
         # timesteps.  Each entry is one (rows, machines) matrix laid out
-        # [prelude solo rows..., expansion rows...], built by the kernel
-        # backend's expand_signature.
+        # [prelude solo rows..., expansion rows...], built by the
+        # kernel's expand_signature.
         self._sig_ids: dict[bytes, int] = {}
         self._sig_rows: list[np.ndarray] = []
         self._sig_congestion: list[int] = []
@@ -401,13 +387,13 @@ class ChainCursorBatch:
         """Advance chain cursors of trials ``F`` whose expansions drained.
 
         The ``(trials, chains)`` transition itself — block tallies, pause
-        countdowns, item advance/entry — runs in the kernel backend on
+        countdowns, item advance/entry — runs in the stepping kernel on
         gathered cursor copies, scattered back here.
         """
         pos = self.chain_pos[F]
         tau = self.tau[F]
         dr = self.delay_remaining[F]
-        into_pause, pause_jobs = self._kernel.chain_finish(
+        into_pause, pause_jobs = numpy_backend.chain_finish(
             F, pos, tau, dr, self.started[F], state.remaining,
             self._kind, self._ilen, self._need, self._ijob,
             self._n_items_arr,
@@ -468,9 +454,9 @@ class ChainCursorBatch:
 
         # Chain starts, expired-pause recovery (resolved by the
         # segment-boundary SEM run), and the (chain -> block item, tau)
-        # signature encoding run as one kernel-backend transition over
+        # signature encoding run as one stepping-kernel transition over
         # the gathered (trials, chains) cursors.
-        pause1, pause1_jobs, pause2, pause2_jobs, enc = self._kernel.chain_build(
+        pause1, pause1_jobs, pause2, pause2_jobs, enc = numpy_backend.chain_build(
             Bs, pos, tau, dr, std, self.delays[Bs], s, state.remaining,
             self._kind, self._ilen, self._need, self._ijob, nit,
             self._tmult,
@@ -519,11 +505,11 @@ class ChainCursorBatch:
         Entering blocks (``tau == 0``) contribute their prelude solo rows
         first, in chain order — the scalar policy's solo-queue emission
         order — followed by the congestion-expansion rows.  The row
-        construction itself runs in the kernel backend
+        construction itself runs in the stepping kernel
         (``expand_signature``) over the flat CSR tables built at
         construction; this method owns the memo bookkeeping.
         """
-        rows, n_prelude, congestion = self._kernel.expand_signature(
+        rows, n_prelude, congestion = numpy_backend.expand_signature(
             enc_row, self._tmult, self._ijob, self._prelude_len,
             self._pre_indptr, self._pre_machine, self._pre_count,
             self._step_indptr, self._step_machine, self._step_count,

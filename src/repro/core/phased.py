@@ -92,8 +92,8 @@ LP_REUSE_MODES = ("exact", "subset")
 DEFAULT_LP_REUSE_EPS = 0.25
 
 #: lp_reuse scope installed by :func:`lp_reuse_context` — thread-local,
-#: so trial shards (repro.sim.batch, kernel_threads > 1) running
-#: concurrent batches in one process never see each other's mode.
+#: so the request server's handler threads, each running its own batch
+#: in one process, never see each other's mode.
 _lp_reuse_tls = threading.local()
 
 
@@ -133,9 +133,9 @@ def lp_reuse_eps() -> float:
 def lp_reuse_context(mode: str | None):
     """Scope an lp_reuse mode over a batch run.
 
-    The scope is genuinely thread-local: each trial shard's recursive
-    batch run enters its own context on its own thread, so concurrent
-    shards never clobber (or prematurely restore) each other's mode.
+    The scope is genuinely thread-local: concurrent batches on other
+    threads (the request server runs each request on a handler thread)
+    never clobber (or prematurely restore) each other's mode.
     """
     previous = getattr(_lp_reuse_tls, "mode", None)
     _lp_reuse_tls.mode = resolve_lp_reuse(mode)
@@ -187,11 +187,12 @@ class ProcessSolveCache:
         self._entries: OrderedDict = OrderedDict()
         #: digest -> set of live keys, LRU-ordered by last touch.
         self._digests: OrderedDict = OrderedDict()
-        #: Guards the dict/LRU bookkeeping: trial shards (kernel_threads
-        #: > 1) hit this process-wide cache from concurrent threads.
-        #: Misses compute *outside* the lock — a rare duplicated solve is
-        #: benign (the pipelines are deterministic), serializing every
-        #: shard on one LP solve is not.
+        #: Guards the dict/LRU bookkeeping: the coalesced ``begin_step``
+        #: pre-pass solves on a thread pool, and the request server's
+        #: handler threads share this process-wide cache.  Misses compute
+        #: *outside* the lock — a rare duplicated solve is benign (the
+        #: pipelines are deterministic), serializing every thread on one
+        #: LP solve is not.
         self._mu = threading.RLock()
         self.solves = 0  # misses that ran a real solve pipeline
         self.hits = 0

@@ -17,6 +17,7 @@ __all__ = [
     "DecompositionError",
     "UnknownPolicyError",
     "InvalidScenarioError",
+    "WorkerCrashError",
 ]
 
 
@@ -107,4 +108,13 @@ class InvalidScenarioError(ReproError):
 
     Raised when a scenario names an unknown shape or failure model, or when
     its numeric parameters cannot produce a well-formed instance.
+    """
+
+
+class WorkerCrashError(ReproError):
+    """A pool worker process died while running a request's trials.
+
+    The crash breaks the whole worker pool, so every chunk of the request
+    fails with it.  Executors that keep a pool across requests drop the
+    broken one, and the next request runs on a fresh pool.
     """

@@ -1,9 +1,9 @@
-"""Pluggable hot-loop kernel backends (the ``REPRO_KERNEL`` axis).
+"""The batch engine's stepping kernel.
 
 The batch engine's per-step inner body (:mod:`repro.sim.batch`) and the
 chain cursors' whole-batch boundary transitions
-(:mod:`repro.core.chain_batch`) are expressed as calls into a *backend*
-— a module exposing six functions with identical signatures:
+(:mod:`repro.core.chain_batch`) are whole-batch numpy array passes that
+live in one module, :mod:`repro.kernels.numpy_backend`:
 
 ==================== ====================================================
 ``accrue``           one step's mass accrual + assignment validation
@@ -14,119 +14,33 @@ chain cursors' whole-batch boundary transitions
 ``expand_signature`` superstep signature -> shared assignment rows
 ==================== ====================================================
 
-Three backends are registered:
-
-``"numpy"`` (default)
-    The whole-batch array formulation — the reference implementation.
-``"numba"`` (opt-in)
-    ``@njit(cache=True)``-compiled fused loops over the same state;
-    bit-identical outputs, another integer factor at 10k+ trials.
-    Degrades gracefully: when numba is not importable the numpy backend
-    is substituted and a warning is logged **once** per process.
-``"python"``
-    The numba backend's loop nests run *uncompiled* — slow, but it lets
-    the fused logic be bit-identity-tested without numba installed.
-
-**Threads** (the ``REPRO_KERNEL_THREADS`` axis) compose with the
-backend: for the numba backend, ``threads > 1`` selects a
-``parallel=True`` compile whose ``prange``-over-trials loops run the
-batch on multiple cores *inside* the kernel (``inkernel_threads`` is
-True on that flavor); for the numpy and python backends — and for a
-numba request that fell back — the kernel stays serial and
-:mod:`repro.sim.batch` shards trials across a thread pool instead.
-Both routes are bit-identical to ``threads == 1`` (trials are
-independent rows; v2's Philox streams are addressed by global trial
-index).
-
-Resolution follows the discipline axis exactly: explicit argument
-(``SimConfig.kernel`` / ``run_policy_batch(kernel=...)``) → the
-``REPRO_KERNEL`` environment variable → ``"numpy"``; likewise
-``kernel_threads`` → ``REPRO_KERNEL_THREADS`` → 1.
-
-Because :class:`~repro.core.chain_batch.ChainCursorBatch` is constructed
-inside policies (not by the engine), the resolved backend is also scoped
-dynamically: :func:`kernel_context` installs it for the duration of a
-batch run and :func:`active_backend` reads it — the same pattern as
-``repro.core.phased.lp_reuse_context``, but *thread-local* so trial
-shards running concurrent batches never see each other's backend.
+Callers reach these functions as attributes of that module at call time
+(``numpy_backend.drive_step(...)``) and never keep them in containers or
+instance state, so an outside profiler can rebind a module attribute and
+see every call.  The scalar engine (:func:`repro.sim.engine.run_policy`)
+is the bit-identity oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
-import logging
-import threading
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = [
-    "KERNELS",
-    "KERNEL_ENV_VAR",
-    "KERNEL_THREADS_ENV_VAR",
-    "active_backend",
-    "active_kernel",
-    "get_backend",
-    "kernel_context",
-    "kernel_info",
-    "numba_available",
-    "resolve_kernel",
-    "resolve_kernel_threads",
-    "silence_numba_fallback",
-    "warmup",
-]
+from repro.kernels import numpy_backend
 
-#: Registered backend names; ``KERNELS[0]`` is the default.
-KERNELS = ("numpy", "numba", "python")
-
-#: Environment variable consulted when no explicit kernel is passed.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Environment variable consulted when no explicit thread count is passed.
-KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
-
-_logger = logging.getLogger(__name__)
-
-_loaded: dict = {}
-_numba_fallback_logged = False
-_warmup_seconds: dict[tuple[str, int], float] = {}
-
-#: Backend installed by :func:`kernel_context` — thread-local, so shard
-#: worker threads (and nested contexts within one thread) are isolated.
-_tls = threading.local()
+__all__ = ["get_backend", "numba_available", "warmup"]
 
 
-def resolve_kernel(kernel: str | None = None) -> str:
-    """Resolve the kernel backend name.
-
-    Explicit ``kernel`` argument → ``REPRO_KERNEL`` environment variable →
-    ``"numpy"``.  Raises ``ValueError`` on unknown names (including via
-    the environment variable, so typos fail loudly).  Delegates to
-    :func:`repro.api.config.resolve_kernel` — the single config-resolution
-    chain shared by every knob.
-    """
-    # Deferred: repro.api.config is the one env-reading module and lives
-    # above this layer (importing it pulls the whole api package).
-    from repro.api.config import resolve_kernel as _resolve
-
-    return _resolve(kernel)
-
-
-def resolve_kernel_threads(threads: int | None = None) -> int:
-    """Resolve the kernel thread count.
-
-    Explicit ``threads`` argument → ``REPRO_KERNEL_THREADS`` environment
-    variable → 1.  Raises ``ValueError`` on non-integer or < 1 values
-    (including via the environment variable, so typos fail loudly).
-    Delegates to :func:`repro.api.config.resolve_kernel_threads`.
-    """
-    from repro.api.config import resolve_kernel_threads as _resolve
-
-    return _resolve(threads)
+def get_backend():
+    """The stepping-kernel module (:mod:`repro.kernels.numpy_backend`)."""
+    return numpy_backend
 
 
 def numba_available() -> bool:
-    """True when the numba backend can actually compile (import works)."""
+    """True when numba is importable.
+
+    Kept for benchmark environment stamps, which record it."""
     try:
         import numba  # noqa: F401
     except Exception:
@@ -134,116 +48,14 @@ def numba_available() -> bool:
     return True
 
 
-def silence_numba_fallback() -> None:
-    """Mark the numba→numpy fallback warning as already delivered.
+def warmup() -> float:
+    """Drive every kernel function once on tiny synthetic batches.
 
-    Worker initializers call this when the *parent* process has already
-    logged the warning at pool construction — without it, a warm pool of
-    N workers would re-warn N times (once per process).
+    Covers both completion modes and both the precedence-free and DAG
+    code paths, so the first real batch pays no first-call costs (lazy
+    imports, numpy ufunc dispatch caches).  Returns the wall-clock
+    seconds spent.  Worker pools call this from their initializer.
     """
-    global _numba_fallback_logged
-    _numba_fallback_logged = True
-
-
-def get_backend(kernel: str | None = None, threads: int | None = None):
-    """The backend for ``kernel`` at ``threads`` (both resolved here).
-
-    Requesting ``"numba"`` without numba installed logs a warning once per
-    process and returns the numpy backend — callers never error on a
-    missing optional dependency (graceful degradation; the active name is
-    surfaced through :func:`kernel_info` / ``/healthz``).  Only the numba
-    backend has a distinct threaded flavor (``parallel=True`` compiles);
-    for every other backend ``threads`` selects the *same* serial module
-    and the trial-shard layer in :mod:`repro.sim.batch` supplies the
-    parallelism.
-    """
-    global _numba_fallback_logged
-    kernel = resolve_kernel(kernel)
-    threads = resolve_kernel_threads(threads)
-    if kernel != "numba":
-        threads = 1  # serial modules are shared across thread counts
-    key = (kernel, threads)
-    backend = _loaded.get(key)
-    if backend is not None:
-        return backend
-    if kernel == "numpy":
-        from repro.kernels import numpy_backend as backend
-    elif kernel == "python":
-        from repro.kernels import _stepimpl as backend
-    else:  # "numba"
-        try:
-            from repro.kernels import numba_backend
-        except ImportError as exc:
-            if not _numba_fallback_logged:
-                _logger.warning(
-                    "kernel backend 'numba' unavailable (%s); "
-                    "falling back to 'numpy'",
-                    exc,
-                )
-                _numba_fallback_logged = True
-            backend = get_backend("numpy")
-        else:
-            if threads > 1:
-                backend = numba_backend.threaded_backend(threads)
-            else:
-                backend = numba_backend
-    _loaded[key] = backend
-    return backend
-
-
-def active_backend():
-    """The backend scoped by this thread's innermost :func:`kernel_context`.
-
-    Outside any context this resolves the environment default — safe for
-    code (scalar engines, tests) that runs without a batch driver.
-    """
-    active = getattr(_tls, "active", None)
-    if active is not None:
-        return active
-    return get_backend(None)
-
-
-def active_kernel() -> str:
-    """Name of the currently active backend (after any fallback)."""
-    return active_backend().name
-
-
-@contextmanager
-def kernel_context(kernel: str | None = None, threads: int | None = None):
-    """Scope the resolved kernel backend over a ``with`` block.
-
-    Mirrors ``lp_reuse_context``: :func:`run_policy_batch` installs the
-    run's backend here so components constructed *inside* the run (chain
-    cursors built by policy start hooks) pick it up via
-    :func:`active_backend` without signature changes.  Yields the backend.
-    Nested contexts restore the outer backend on exit; the scope is
-    thread-local, so concurrent trial shards are isolated.
-    """
-    backend = get_backend(kernel, threads)
-    prev = getattr(_tls, "active", None)
-    _tls.active = backend
-    try:
-        yield backend
-    finally:
-        _tls.active = prev
-
-
-def warmup(kernel: str | None = None, threads: int | None = None) -> float:
-    """Pre-compile (and time) every kernel of the resolved backend.
-
-    Drives tiny synthetic batches through all six backend functions,
-    covering both completion modes and both the precedence-free and
-    DAG code paths, so a numba backend JIT-compiles every specialization
-    it will see at runtime (``threads > 1`` warms the ``parallel=True``
-    flavor).  Returns the wall-clock seconds spent; the first measurement
-    per (backend, threads) is recorded for :func:`kernel_info`.
-    Idempotent: repeat calls re-run the (now cheap) warm path but keep
-    the recorded compile time.
-
-    Worker pools call this from their initializer so warm-pool workers
-    compile once and serve every subsequent request from the JIT cache.
-    """
-    backend = get_backend(kernel, threads)
     start = time.perf_counter()
     B, n, m = 2, 3, 2
     ell = np.full((m, n), 0.5, dtype=np.float64)
@@ -266,14 +78,14 @@ def warmup(kernel: str | None = None, threads: int | None = None) -> float:
             active = np.ones(B, dtype=bool)
             theta = np.full((B, n), 0.25, dtype=np.float64)
             u = np.full((B, n), 0.99, dtype=np.float64)
-            backend.drive_step(
+            numpy_backend.drive_step(
                 a, ell, theta, u, mode, 1, remaining, eligible, indeg,
                 mass, ct, busy, active, indptr, indices, independent, True,
             )
-            status, b, i, step_mass = backend.accrue(
+            status, b, i, step_mass = numpy_backend.accrue(
                 a, ell, remaining, eligible, busy, independent, True
             )
-            backend.commit(
+            numpy_backend.commit(
                 step_mass > 0.0, 2, ct, remaining, eligible, indeg,
                 indptr, indices, active, independent,
             )
@@ -294,11 +106,11 @@ def warmup(kernel: str | None = None, threads: int | None = None) -> float:
     nit = np.full(C, P, dtype=np.int64)
     delays = np.zeros((F, C), dtype=np.int64)
     s = np.zeros(F, dtype=np.int64)
-    backend.chain_build(
+    numpy_backend.chain_build(
         trials, pos, tau, dr, std, delays, s, rem,
         kind, ilen, need, ijob, nit, P + 1,
     )
-    backend.chain_finish(
+    numpy_backend.chain_finish(
         trials, pos, tau, dr, started, rem, kind, ilen, need, ijob, nit
     )
     # The superstep expansion: one two-chain signature with a prelude on
@@ -313,39 +125,8 @@ def warmup(kernel: str | None = None, threads: int | None = None) -> float:
     step_indptr = np.arange(C * P + 1, dtype=np.int64)
     step_machine = np.array([0, 1, 0, 1], dtype=np.int64)
     step_count = np.ones(C * P, dtype=np.int64)
-    backend.expand_signature(
+    numpy_backend.expand_signature(
         enc, P + 1, ijob, prelude_len, pre_indptr, pre_machine, pre_count,
         step_indptr, step_machine, step_count, m, -1,
     )
-    elapsed = time.perf_counter() - start
-    _warmup_seconds.setdefault(
-        (backend.name, getattr(backend, "threads", 1)), elapsed
-    )
-    return elapsed
-
-
-def kernel_info(kernel: str | None = None, threads: int | None = None) -> dict:
-    """Reportable description of the resolved backend.
-
-    Keys: ``requested`` (post-resolution name), ``active`` (after any
-    numba→numpy fallback), ``numba_available``, ``threads`` (resolved
-    count), ``inkernel_threads`` (True when the active backend threads
-    *inside* the kernel via ``prange``; False means ``threads > 1`` runs
-    through the trial-shard layer), and ``warmup_seconds`` (first
-    measured :func:`warmup` duration in this process, or None if the
-    backend was never warmed here — e.g. compilation happened in worker
-    processes).  Surfaced in ``simulate()`` reports and ``GET /healthz``.
-    """
-    requested = resolve_kernel(kernel)
-    resolved_threads = resolve_kernel_threads(threads)
-    backend = get_backend(requested, resolved_threads)
-    return {
-        "requested": requested,
-        "active": backend.name,
-        "numba_available": numba_available(),
-        "threads": resolved_threads,
-        "inkernel_threads": bool(getattr(backend, "inkernel_threads", False)),
-        "warmup_seconds": _warmup_seconds.get(
-            (backend.name, getattr(backend, "threads", 1))
-        ),
-    }
+    return time.perf_counter() - start

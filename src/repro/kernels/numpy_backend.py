@@ -1,36 +1,38 @@
-"""The default (pure-numpy) kernel backend.
+"""The stepping kernel: whole-batch numpy array passes.
 
-These are the whole-batch array formulations lifted verbatim out of
-``repro.sim.batch._drive_batch`` and ``repro.core.chain_batch`` — the
-reference implementations every other backend must match bit for bit.
-See :mod:`repro.kernels._stepimpl` for the shared fused-loop source the
-``"numba"`` and ``"python"`` backends run, and :mod:`repro.kernels` for
-the registry/resolution machinery.
+These are the whole-batch array formulations lifted out of
+``repro.sim.batch._drive_batch`` and ``repro.core.chain_batch``; the
+scalar engine (:func:`repro.sim.engine.run_policy`) is the oracle they
+are held to bit for bit.  See :mod:`repro.kernels` for the calling
+convention.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels._stepimpl import (
-    BAD_PRECEDENCE,
-    BAD_RANGE,
-    KIND_BLOCK,
-    KIND_PAUSE,
-    OK,
-)
+# Item-kind codes in the chain-program tables (block 0, pause 1, end 2);
+# repro.core.chain_batch builds its tables from these.
+KIND_BLOCK = 0
+KIND_PAUSE = 1
+KIND_END = 2
 
-name = "numpy"
-#: The array formulation never threads inside the kernel;
-#: ``kernel_threads > 1`` shards trials in :mod:`repro.sim.batch` instead.
-inkernel_threads = False
+# Violation codes returned by the step kernels (the batch engine raises
+# the actual ScheduleViolationError, so kernels stay exception-free).
+OK = 0
+BAD_RANGE = 1
+BAD_PRECEDENCE = 2
 
 
 def accrue(a, ell, remaining, eligible, busy, independent, check):
-    """One step's mass accrual (see :func:`._stepimpl.accrue`).
+    """One step's mass accrual: assignments -> delivered mass per job.
 
-    ``remaining`` / ``eligible`` must be C-contiguous (their ``.ravel()``
-    views share memory), which the batch driver guarantees.
+    Returns ``(status, trial, machine, step_mass)``; on a non-zero status
+    the step must be abandoned (the batch engine raises).  ``busy`` is
+    updated in place.  ``check`` gates the job-id range and precedence
+    (eligibility) validation.  ``remaining`` / ``eligible`` must be
+    C-contiguous (their ``.ravel()`` views share memory), which the batch
+    engine guarantees.
     """
     B, m = a.shape
     n = remaining.shape[1]
@@ -82,8 +84,12 @@ def commit(done_now, t_next, completion_times, remaining, eligible, indeg,
 def drive_step(a, ell, theta, u, mode, t_next, remaining, eligible, indeg,
                mass_accrued, completion_times, busy, active,
                succ_indptr, succ_indices, independent, check):
-    """One engine step (see :func:`._stepimpl.drive_step`): accrue,
-    threshold, commit — here as the original whole-batch array passes."""
+    """One engine step: accrual, completion test, and state commit.
+
+    ``mode`` selects the completion rule: 0 = SUU* thresholds
+    (``theta``), 1 = per-step uniforms (``u``, discipline v2).  Returns
+    ``(status, trial, machine)`` with the :func:`accrue` codes.
+    """
     status, b, i, step_mass = accrue(
         a, ell, remaining, eligible, busy, independent, check
     )
@@ -172,13 +178,17 @@ def expand_signature(enc, tmult, ijob, prelude_len,
                      pre_indptr, pre_machine, pre_count,
                      step_indptr, step_machine, step_count,
                      n_machines, idle):
-    """Flatten one distinct superstep signature into shared rows (the
-    reference construction; see :func:`._stepimpl.expand_signature`).
+    """Flatten one distinct superstep signature into shared rows.
 
-    List-based like the original ``ChainCursorBatch._compile_signature``
-    body, over the flat CSR tables every backend shares: prelude solo
-    rows for entering blocks first (chain order), then congestion rows.
-    Memoized by the caller, so this runs once per distinct signature.
+    ``enc`` is one trial's ``(n_chains,)`` signature row: ``pos * tmult +
+    tau`` per live block, -1 otherwise.  The chain-program tables are
+    flat CSR spans of ``(machine, count)`` pairs per ``(c, p)`` item slot
+    (flattened to ``c * P + p``).  Entering blocks (``tau == 0``)
+    contribute their prelude solo rows first, in chain order — the scalar
+    policy's solo-queue emission order — followed by the congestion rows
+    (machine ``i``'s ``r``-th queued job at row ``r``, ``idle``
+    elsewhere).  Returns ``(rows, n_prelude, congestion)``.  Memoized by
+    the caller, so this runs once per distinct signature.
     """
     C = enc.shape[0]
     P = ijob.shape[1]

@@ -13,10 +13,9 @@ calls into a request/response service:
   [{...}, ...]}``, plus ``"policies"`` / ``"config"``; returns every
   cell's report, scenario-major.
 * ``GET /policies`` — the policy registry listing.
-* ``GET /healthz`` — liveness plus served/error counters, in-flight
-  depth, the executor's stats (including a warm worker's solve-cache
-  counters — how warm-pool reuse is observed from the outside), and the
-  active kernel backend (:func:`repro.kernels.kernel_info`).
+* ``GET /healthz`` — liveness plus served/error counters and the
+  executor's stats (including a warm worker's solve-cache counters —
+  how warm-pool reuse is observed from the outside).
 
 The HTTP layer is deliberately minimal — stdlib ``asyncio`` streams, no
 framework: an HTTP/1.1 parser supporting keep-alive and
@@ -27,7 +26,9 @@ pool, and the heavy lifting is dispatched through the injected request
 executor (:mod:`repro.server.executors`) — a warm process pool under
 the default server configuration.  Shutdown is graceful: the listener
 closes first, in-flight requests drain (bounded by ``drain_timeout``),
-then connections are torn down.
+then connections are torn down.  A pool worker that dies mid-request
+fails that request with a 503 naming the crash; the executor rebuilds
+its pool for the next one.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.api.registry import list_policies
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
 from repro.api.service import evaluate_grid, simulate
-from repro.errors import ReproError
-from repro.kernels import kernel_info
+from repro.errors import ReproError, WorkerCrashError
 from repro.server.executors import RequestExecutor, default_executor
 
 __all__ = [
@@ -111,8 +111,6 @@ def _report_payload(report, include_samples: bool) -> dict:
         "scenario": report.scenario.to_dict() if report.scenario else None,
         "config": report.config.to_dict(),
     }
-    if report.kernel is not None:
-        payload["kernel"] = report.kernel
     if include_samples:
         payload["samples"] = report.stats.samples.tolist()
     if report.per_job is not None:
@@ -155,10 +153,6 @@ class SchedulingService:
             "served": self.served,
             "errors": self.errors,
             "executor": self.executor.stats(),
-            # The server process's kernel view: requested vs active backend
-            # (post numba-fallback) and the local warm-up time.  Warm-pool
-            # workers warm their own backend through the pool initializer.
-            "kernel": kernel_info(),
         }
 
     def policies(self, _body=None) -> dict:
@@ -188,6 +182,8 @@ class SchedulingService:
                 executor=self.executor,
                 per_job=bool(body.get("per_job", False)),
             )
+        except WorkerCrashError as exc:
+            raise HttpError(503, str(exc)) from exc
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
         return _report_payload(report, bool(body.get("include_samples", False)))
@@ -216,6 +212,8 @@ class SchedulingService:
                 grid, tuple(policies), config=config, executor=self.executor,
                 per_job=bool(body.get("per_job", False)),
             )
+        except WorkerCrashError as exc:
+            raise HttpError(503, str(exc)) from exc
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
         include = bool(body.get("include_samples", False))

@@ -34,11 +34,10 @@ dispatcher — plug in without touching this module.
 from __future__ import annotations
 
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
-from repro.api.config import resolve_kernel, resolve_kernel_threads
 from repro.api.service import WORKER_SOLVE_CACHE_ENTRIES, worker_pool
 from repro.core.phased import solve_cache_stats
-from repro.kernels import kernel_info
 
 __all__ = [
     "RequestExecutor",
@@ -132,36 +131,26 @@ class WarmPoolExecutor(RequestExecutor):
     and ``ProcessPoolExecutor`` submissions are themselves thread-safe,
     so many in-flight requests can share the one pool.
 
+    A worker crash breaks the whole pool, whether it dies mid-request or
+    while idle.  Requests then running on it fail (the service layer
+    reports :class:`~repro.errors.WorkerCrashError`); the next
+    :meth:`acquire` finds the pool broken and builds a fresh one.
+
     Parameters
     ----------
     n_workers:
         Pool width (``None`` = CPU count).
     solve_cache_entries:
         Capacity installed into each worker's process solve cache.
-    kernel:
-        Kernel backend warmed into each worker through the pool
-        initializer (``None`` = resolve ``REPRO_KERNEL`` here, in the
-        server process).  With ``"numba"``, workers JIT-compile once at
-        pool start-up and serve every request from the compiled (and
-        on-disk-cached) kernels.
-    kernel_threads:
-        Trial-parallel worker count warmed into each pool worker
-        (``None`` = resolve ``REPRO_KERNEL_THREADS`` here).  Numba
-        workers run prange over trials in-kernel; numpy/python workers
-        shard the batch onto a thread pool inside each process.
     """
 
     kind = "warm-pool"
     backend = "process"
 
     def __init__(self, n_workers: int | None = None,
-                 solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
-                 kernel: str | None = None,
-                 kernel_threads: int | None = None):
+                 solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES):
         self.n_workers = n_workers
         self.solve_cache_entries = int(solve_cache_entries)
-        self.kernel = kernel
-        self.kernel_threads = kernel_threads
         self.requests = 0
         self.pools_built = 0
         self._pool = None
@@ -184,21 +173,26 @@ class WarmPoolExecutor(RequestExecutor):
         list(pool.map(_noop, range(2 * n)))
 
     def _ensure_pool(self):
+        broken = None
         with self._lock:
+            if _is_broken(self._pool):
+                broken, self._pool = self._pool, None
             if self._pool is None:
                 self._pool = worker_pool(
                     self.n_workers,
                     solve_cache_entries=self.solve_cache_entries,
-                    kernel=self.kernel,
-                    kernel_threads=self.kernel_threads,
                 )
                 self.pools_built += 1
-            return self._pool
+            pool = self._pool
+        if broken is not None:
+            broken.shutdown(wait=False, cancel_futures=True)
+        return pool
 
     @property
     def warm(self) -> bool:
         """Whether a live pool exists right now."""
-        return self._pool is not None
+        pool = self._pool
+        return pool is not None and not _is_broken(pool)
 
     def cache_stats(self) -> dict | None:
         """One warm worker's solve-cache counters (``None`` when cold).
@@ -206,21 +200,18 @@ class WarmPoolExecutor(RequestExecutor):
         Sampled with a single task, so with ``n_workers > 1`` it reads
         *a* worker, not an aggregate — exact for single-worker pools
         (how the tests observe cross-request reuse), indicative
-        otherwise.  The ``"kernel"`` key carries that worker's actual
-        :func:`repro.kernels.kernel_info` state — the authoritative view
-        of what backend the workers run (the parent logs the numba
-        fallback warning once; workers degrade silently, so this is
-        where a degraded pool shows up).
+        otherwise.  A pool broken by a worker crash reads as cold, so
+        ``/healthz`` keeps answering.
         """
         with self._lock:
             pool = self._pool
-        if pool is None:
+        if pool is None or _is_broken(pool):
             return None
-        return pool.submit(
-            _worker_probe,
-            resolve_kernel(self.kernel),
-            resolve_kernel_threads(self.kernel_threads),
-        ).result()
+        try:
+            return pool.submit(solve_cache_stats).result()
+        except BrokenProcessPool:
+            # The last worker died between the check and the probe.
+            return None
 
     def close(self) -> None:
         with self._lock:
@@ -235,8 +226,6 @@ class WarmPoolExecutor(RequestExecutor):
             pools_built=self.pools_built,
             warm=self.warm,
             n_workers=self.n_workers,
-            kernel=resolve_kernel(self.kernel),
-            kernel_threads=resolve_kernel_threads(self.kernel_threads),
         )
         worker_cache = self.cache_stats()
         if worker_cache is not None:
@@ -248,20 +237,14 @@ class WarmPoolExecutor(RequestExecutor):
         return f"WarmPoolExecutor(n_workers={self.n_workers}, {state})"
 
 
+def _is_broken(pool) -> bool:
+    """Whether ``pool`` is a process pool a dead worker has broken."""
+    return pool is not None and bool(getattr(pool, "_broken", False))
+
+
 def _noop(_i):
     """Picklable worker warm-up task (module-level for ``spawn``)."""
     return None
-
-
-def _worker_probe(kernel: str, kernel_threads: int) -> dict:
-    """Picklable warm-worker probe: solve-cache counters + kernel state.
-
-    Runs *inside* a pool worker, so ``kernel_info`` reports what that
-    worker actually loaded (e.g. numpy after a silent numba fallback).
-    """
-    stats = dict(solve_cache_stats())
-    stats["kernel"] = kernel_info(kernel, kernel_threads)
-    return stats
 
 
 _default_lock = threading.Lock()
@@ -288,21 +271,14 @@ def set_default_executor(executor: RequestExecutor | None) -> RequestExecutor | 
 
 
 def make_executor(kind: str, n_workers: int | None = None,
-                  solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
-                  kernel: str | None = None,
-                  kernel_threads: int | None = None) -> RequestExecutor:
+                  solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES
+                  ) -> RequestExecutor:
     """Construct an executor by registry name (CLI entry point).
 
-    ``kind`` is one of :data:`EXECUTOR_KINDS`; ``kernel`` and
-    ``kernel_threads`` reach warm-pool workers through the pool
-    initializer (serial executors run in-process, where the service layer
-    resolves the kernel itself).
+    ``kind`` is one of :data:`EXECUTOR_KINDS`.
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "warm-pool":
-        return WarmPoolExecutor(
-            n_workers, solve_cache_entries=solve_cache_entries, kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
+        return WarmPoolExecutor(n_workers, solve_cache_entries=solve_cache_entries)
     raise ValueError(f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")

@@ -11,7 +11,7 @@ everything that determines its result:
   semantics, horizon), and
 * the *resolved* knob snapshot (:meth:`SimConfig.resolved` — explicit →
   config → environment → default), so a sweep run under
-  ``REPRO_KERNEL=numba`` is addressed separately from a numpy run.
+  ``REPRO_LP_REUSE=subset`` is addressed separately from an exact run.
 
 Experiment cells hash their id plus canonical args.  Anything with the
 same digest is the same measurement: re-running a suite only computes the
@@ -29,7 +29,7 @@ __all__ = ["CELL_FORMAT", "canonical_json", "cell_payload", "cell_digest"]
 
 #: Bumped whenever the digest payload layout changes (invalidates every
 #: previously stored cell, which is exactly what a layout change means).
-CELL_FORMAT = 1
+CELL_FORMAT = 2
 
 
 def canonical_json(obj) -> str:

@@ -33,7 +33,7 @@ def report_dict(spec: SuiteSpec, outcome: SuiteOutcome) -> dict:
 
 def _simulate_rows(outcome: SuiteOutcome) -> list[str]:
     lines = [
-        "| scenario | policy | discipline | kernel | seed | mean | ratio | cell |",
+        "| scenario | policy | discipline | lp_reuse | seed | mean | ratio | cell |",
         "|---|---|---|---|---|---|---|---|",
     ]
     for o in outcome.outcomes:
@@ -47,7 +47,7 @@ def _simulate_rows(outcome: SuiteOutcome) -> list[str]:
         lines.append(
             f"| {scen['shape']}/{scen['model']} n={scen['n_jobs']} "
             f"m={scen['n_machines']} s={scen['seed']} "
-            f"| {res['policy']} | {knobs['discipline']} | {knobs['kernel']} "
+            f"| {res['policy']} | {knobs['discipline']} | {knobs['lp_reuse']} "
             f"| {cell['config']['seed']} | {res['mean']:.3f} "
             f"| {res['ratio']:.3f} | {tag} |"
         )

@@ -177,23 +177,7 @@ class TestRegistration:
         assert get_policy("sem") is cls
 
 
-class TestDeprecationShims:
-    def test_main_policies_dict_removed_with_pointer(self):
-        """The PR-1 POLICIES shim is gone; the error must say where the
-        table lives now (and `from ... import POLICIES` raises too)."""
-        import repro.__main__ as cli
-
-        with pytest.raises(AttributeError, match="repro.api.registry"):
-            cli.POLICIES
-        with pytest.raises(ImportError):
-            from repro.__main__ import POLICIES  # noqa: F401
-
-    def test_default_policy_helper_warns(self, small_independent):
-        import repro.__main__ as cli
-
-        with pytest.warns(DeprecationWarning, match="default_policy_for"):
-            assert cli._default_policy_for(small_independent) == "sem"
-
+class TestMainModule:
     def test_unknown_main_attribute_raises(self):
         import repro.__main__ as cli
 

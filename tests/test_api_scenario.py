@@ -135,6 +135,8 @@ class TestSimConfig:
     def test_defaults_and_round_trip(self):
         cfg = SimConfig(n_trials=7, seed=3, semantics="suu_star", max_steps=99)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = SimConfig(substreams="per-policy")
+        assert SimConfig.from_dict(cfg.to_dict()).substreams == "per-policy"
 
     def test_validation(self):
         with pytest.raises(InvalidScenarioError):

@@ -272,9 +272,8 @@ class TestChainCursorCrossCheck:
 
         class Injected(SUUCPolicy):
             def _draw_v2_delays(self, streams, n_trials, plan, *key):
-                # Slice by the stream offset so the injection survives
-                # the kernel_threads trial-shard route (each shard draws
-                # its own span of the batch-global matrix).
+                # Slice by the stream offset, as a chunk of the batch
+                # draws its own span of the batch-global matrix.
                 return delays[streams.offset:streams.offset + n_trials]
 
         v1 = run_policy_batch(
@@ -358,7 +357,7 @@ class TestChainCursorCrossCheck:
 
         class Injected(SUUTPolicy):
             def _draw_block_delays(self, streams, n_trials, plan, block, probe):
-                # Offset-sliced so the injection survives trial sharding.
+                # Offset-sliced, as a chunk reads its span of the batch.
                 return block_delays[block][
                     streams.offset:streams.offset + n_trials
                 ]
@@ -493,73 +492,6 @@ class TestV2Determinism:
         assert main(["run", path, "--policy", "suu-c", "--trials", "4",
                      "--discipline", "v2"]) == 0
         assert "E[T]" in capsys.readouterr().out
-
-
-class TestShardInvariance:
-    """The trial-shard layer (``kernel_threads > 1`` on serial backends)
-    splits a batch along the same seam the process backend chunks on.
-    Under v2 the Philox streams are addressed by *global* trial index, so
-    shard layout is invisible by construction — assert it across thread
-    counts, backends, and chunked runs."""
-
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    @pytest.mark.parametrize("kernel_threads", [1, 2, 4])
-    def test_v2_bit_identical_across_thread_counts(self, kernel,
-                                                   kernel_threads):
-        inst = make_instance("chains")
-        factory = policy_factory("suu-c")
-        ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
-        got = run_policy_batch(
-            inst, factory, 12, rng=11, discipline="v2", kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
-        assert np.array_equal(ref.makespans, got.makespans)
-        assert np.array_equal(ref.completion_times, got.completion_times)
-
-    @pytest.mark.parametrize("kernel_threads", [2, 4])
-    def test_chunk_invariance_survives_sharding(self, kernel_threads):
-        # Chunks arrive with pre-offset streams (the service seam); the
-        # shard layer must rebase on top of that offset, not replace it.
-        inst = make_instance("chains")
-        factory = policy_factory("suu-c")
-        root = run_seed_sequence(5)
-        rngs = ensure_rng(5).spawn(20)
-        full = run_policy_batch(
-            inst, factory, trial_rngs=rngs, semantics="suu",
-            discipline="v2", streams=BatchStreams(root),
-        )
-        parts = [
-            run_policy_batch(
-                inst, factory, trial_rngs=rngs[lo:hi], semantics="suu",
-                discipline="v2", streams=BatchStreams(root).with_offset(lo),
-                kernel_threads=kernel_threads,
-            ).makespans
-            for lo, hi in [(0, 7), (7, 20)]
-        ]
-        assert np.array_equal(full.makespans, np.concatenate(parts))
-
-    @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    def test_per_policy_substreams_unaffected_by_sharding(self, discipline):
-        sc = Scenario(shape="independent", n_jobs=10, n_machines=4,
-                      model="specialist", seed=3)
-        serial = SimConfig(n_trials=8, seed=5, discipline=discipline,
-                           substreams="per-policy")
-        sharded = SimConfig(n_trials=8, seed=5, discipline=discipline,
-                            substreams="per-policy", kernel_threads=2)
-        a1, b1 = evaluate_grid([sc], ("sem", "sem"), config=serial)
-        a2, b2 = evaluate_grid([sc], ("sem", "sem"), config=sharded)
-        assert np.array_equal(a1.stats.samples, a2.stats.samples)
-        assert np.array_equal(b1.stats.samples, b2.stats.samples)
-
-    def test_v1_bit_identical_across_thread_counts(self):
-        # v1 replays the per-trial spawned RNG tree; contiguous shards
-        # slice that tree, so sharding cannot change a sample there either.
-        inst = make_instance("chains")
-        factory = policy_factory("suu-c")
-        ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v1")
-        got = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
-                               kernel_threads=3)
-        assert np.array_equal(ref.makespans, got.makespans)
 
 
 # ----------------------------------------------------------------------

@@ -1,387 +1,45 @@
-"""Tests for the pluggable hot-loop kernel axis (``REPRO_KERNEL``).
+"""Tests for the stepping kernel (:mod:`repro.kernels`).
 
-Five layers of guarantees:
-
-* **Resolution**: explicit argument → ``REPRO_KERNEL`` env var →
-  ``"numpy"``, with loud failures on typos (argument and env alike) and
-  ``SimConfig`` validating its ``kernel`` / ``substreams`` knobs.
-* **Graceful degradation**: requesting ``"numba"`` without numba
-  installed logs one warning and silently serves the numpy backend —
-  nothing errors, and the fallback is visible in :func:`kernel_info`.
-* **Bit-identity**: the ``"python"`` backend — the *same* fused loop
-  nests the numba backend compiles, run uncompiled — reproduces the
-  numpy reference trial-for-trial across policies × semantics ×
-  disciplines; when numba is installed the compiled backend is held to
-  the identical contract (skip-marked otherwise).
+* **Module surface**: :func:`repro.kernels.get_backend` is the numpy
+  kernel module, and :func:`repro.kernels.warmup` drives every kernel
+  function.  Bit-identity of the kernel against the scalar engine is
+  asserted in ``tests/test_batch_engine.py`` and
+  ``tests/test_phased_batch.py``.
 * **Validation hoist**: per-step assignment validation always runs at
   ``t == 0``; ``validate=False`` (the trusted registry path) skips later
   steps, and the service layer wires the trust flag automatically.
-* **Threading**: the knob reaches :func:`simulate` / ``evaluate_grid``
-  reports, worker pools, the request server (``/healthz``), and the CLI;
-  per-policy substreams (``SimConfig.substreams``) break common random
-  numbers in grid sweeps without touching single-policy runs.
-* **Trial parallelism** (``REPRO_KERNEL_THREADS``): resolution and
-  validation of the thread count, and bit-identity of
-  ``kernel_threads > 1`` runs — the trial-shard layer for serial
-  backends, prange-in-kernel for threaded numba — against serial runs
-  across the same policy × semantics × discipline grid.
+* **Substreams**: per-policy substreams (``SimConfig.substreams``) break
+  common random numbers in grid sweeps without touching single-policy
+  runs.
 """
-
-import logging
 
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.api.scenario import Scenario, SimConfig
 from repro.api.service import evaluate_grid, simulate
 from repro.baselines.greedy_lr import GreedyLRPolicy
-from repro.core.suu_c import SUUCPolicy
-from repro.core.suu_i_sem import SUUISemPolicy
-from repro.core.suu_t import SUUTPolicy
 from repro.errors import InvalidScenarioError, ScheduleViolationError
-from repro.instance import (
-    PrecedenceGraph,
-    SUUInstance,
-    chain_instance,
-    independent_instance,
-)
-from repro.kernels import (
-    KERNEL_ENV_VAR,
-    KERNEL_THREADS_ENV_VAR,
-    KERNELS,
-    active_kernel,
-    get_backend,
-    kernel_context,
-    kernel_info,
-    numba_available,
-    resolve_kernel,
-    resolve_kernel_threads,
-    warmup,
-)
+from repro.instance import PrecedenceGraph, SUUInstance
+from repro.kernels import get_backend, numpy_backend, warmup
 from repro.schedule.base import VectorizedPolicy
 from repro.sim.batch import run_policy_batch
 
 
-@pytest.fixture(autouse=True)
-def _clean_kernel_env(monkeypatch):
-    """Default every test to unset REPRO_KERNEL / REPRO_KERNEL_THREADS;
-    tests that probe the env resolution set them explicitly."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(KERNEL_THREADS_ENV_VAR, raising=False)
+class TestModuleSurface:
+    def test_get_backend_is_the_numpy_module(self):
+        assert get_backend() is numpy_backend
+        for fn in ("accrue", "commit", "drive_step", "chain_build",
+                   "chain_finish", "expand_signature"):
+            assert callable(getattr(get_backend(), fn))
 
-
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed"
-)
-
-#: Non-default backends held to the bit-identity contract.  The python
-#: backend is the numba loop nests uncompiled, so it covers the fused
-#: logic even where numba cannot install.
-ALT_KERNELS = [
-    "python",
-    pytest.param("numba", marks=requires_numba),
-]
-
-
-def make_instance(kind):
-    if kind == "independent":
-        return independent_instance(12, 4, "uniform", rng=3)
-    if kind == "chains":
-        return chain_instance(12, 4, 3, "uniform", rng=7)
-    raise ValueError(kind)
-
-
-class TestResolution:
-    def test_default_is_numpy(self):
-        assert resolve_kernel() == "numpy"
-        assert KERNELS[0] == "numpy"
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "python")
-        assert resolve_kernel("numpy") == "numpy"
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "python")
-        assert resolve_kernel() == "python"
-        assert SimConfig().resolved_kernel() == "python"
-
-    def test_unknown_argument_fails_loudly(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("jax")
-
-    def test_unknown_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "nmba")  # typo
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel()
-
-    def test_simconfig_validates_kernel(self):
-        assert SimConfig(kernel="python").resolved_kernel() == "python"
-        with pytest.raises(InvalidScenarioError, match="kernel"):
-            SimConfig(kernel="jax")
+    def test_warmup_runs_every_kernel(self):
+        assert warmup() >= 0.0
 
     def test_simconfig_validates_substreams(self):
         SimConfig(substreams="per-policy")  # accepted
         with pytest.raises(InvalidScenarioError, match="substreams"):
             SimConfig(substreams="independent")
-
-    def test_simconfig_round_trips_kernel(self):
-        config = SimConfig(kernel="python", substreams="per-policy")
-        clone = SimConfig.from_dict(config.to_dict())
-        assert clone.kernel == "python"
-        assert clone.substreams == "per-policy"
-
-
-class TestThreadsResolution:
-    def test_default_is_serial(self):
-        assert resolve_kernel_threads() == 1
-        assert SimConfig().resolved_kernel_threads() == 1
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "8")
-        assert resolve_kernel_threads(2) == 2
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
-        assert resolve_kernel_threads() == 3
-        assert SimConfig().resolved_kernel_threads() == 3
-
-    @pytest.mark.parametrize("bad", [0, -2, "two", "1.5"])
-    def test_bad_argument_fails_loudly(self, bad):
-        with pytest.raises(ValueError, match="kernel_threads"):
-            resolve_kernel_threads(bad)
-
-    def test_bad_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="kernel_threads"):
-            resolve_kernel_threads()
-
-    def test_simconfig_validates_kernel_threads(self):
-        assert SimConfig(kernel_threads=4).resolved_kernel_threads() == 4
-        with pytest.raises(InvalidScenarioError, match="kernel_threads"):
-            SimConfig(kernel_threads=0)
-        with pytest.raises(InvalidScenarioError, match="kernel_threads"):
-            SimConfig(kernel_threads="2")
-
-    def test_simconfig_round_trips_kernel_threads(self):
-        clone = SimConfig.from_dict(SimConfig(kernel_threads=2).to_dict())
-        assert clone.kernel_threads == 2
-
-    def test_serial_backends_share_one_module_across_thread_counts(self):
-        assert get_backend("numpy", 4) is get_backend("numpy")
-        assert get_backend("python", 4) is get_backend("python")
-        assert not getattr(get_backend("numpy", 4), "inkernel_threads", False)
-
-    def test_kernel_info_surfaces_threads(self):
-        info = kernel_info("python", 3)
-        assert info["threads"] == 3
-        assert info["inkernel_threads"] is False
-
-    @requires_numba
-    def test_threaded_numba_backend_threads_in_kernel(self):
-        backend = get_backend("numba", 2)
-        assert backend.name == "numba"
-        assert backend.inkernel_threads is True
-        assert backend.threads >= 1  # clamped to NUMBA_NUM_THREADS
-        info = kernel_info("numba", 2)
-        assert info["inkernel_threads"] is True
-
-
-class TestBackendsAndFallback:
-    def test_named_backends(self):
-        assert get_backend("numpy").name == "numpy"
-        assert get_backend("python").name == "python"
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_missing_numba_falls_back_and_logs_once(self, monkeypatch, caplog):
-        monkeypatch.setattr(kernels, "_numba_fallback_logged", False)
-        monkeypatch.delitem(kernels._loaded, ("numba", 1), raising=False)
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            backend = get_backend("numba")
-            assert backend.name == "numpy"
-            again = get_backend("numba")
-            assert again is backend
-        warnings = [r for r in caplog.records if "falling back" in r.message]
-        assert len(warnings) == 1
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_silence_numba_fallback_suppresses_the_warning(self, monkeypatch,
-                                                          caplog):
-        # Worker processes call this after the parent already warned at
-        # pool construction — a pool of N workers must not re-warn N times.
-        monkeypatch.setattr(kernels, "_numba_fallback_logged", False)
-        monkeypatch.delitem(kernels._loaded, ("numba", 1), raising=False)
-        kernels.silence_numba_fallback()
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            assert get_backend("numba").name == "numpy"
-        assert not [r for r in caplog.records if "falling back" in r.message]
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_missing_numba_never_errors_end_to_end(self, small_independent):
-        report = simulate(
-            small_independent, "greedy-lr", SimConfig(n_trials=4, seed=1,
-                                                      kernel="numba")
-        )
-        assert report.kernel["requested"] == "numba"
-        assert report.kernel["active"] == "numpy"
-        assert report.kernel["numba_available"] is False
-
-    @requires_numba
-    def test_numba_backend_loads(self):
-        assert get_backend("numba").name == "numba"
-
-    def test_kernel_context_scopes_and_restores(self):
-        assert active_kernel() == "numpy"
-        with kernel_context("python") as backend:
-            assert backend.name == "python"
-            assert active_kernel() == "python"
-            with kernel_context("numpy"):
-                assert active_kernel() == "numpy"
-            assert active_kernel() == "python"
-        assert active_kernel() == "numpy"
-
-    def test_warmup_and_info(self):
-        seconds = warmup("python")
-        assert seconds >= 0.0
-        info = kernel_info("python")
-        assert info["requested"] == "python"
-        assert info["active"] == "python"
-        assert info["warmup_seconds"] is not None
-        assert isinstance(info["numba_available"], bool)
-
-
-class TestBitIdentity:
-    """numpy-vs-{python,numba} sample equality across the engine grid."""
-
-    CASES = [
-        (GreedyLRPolicy, "independent", "suu"),
-        (GreedyLRPolicy, "independent", "suu_star"),
-        (SUUISemPolicy, "independent", "suu"),
-        (SUUISemPolicy, "independent", "suu_star"),
-        (SUUCPolicy, "chains", "suu"),
-        (SUUTPolicy, "chains", "suu_star"),
-    ]
-
-    @pytest.mark.parametrize("kernel", ALT_KERNELS)
-    @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    @pytest.mark.parametrize(
-        "factory,shape,semantics",
-        CASES,
-        ids=[f"{f.__name__}-{sh}-{sem}" for f, sh, sem in CASES],
-    )
-    def test_backend_bit_identity(self, factory, shape, semantics,
-                                  discipline, kernel):
-        inst = make_instance(shape)
-        ref = run_policy_batch(
-            inst, factory, 8, rng=21, semantics=semantics,
-            discipline=discipline, kernel="numpy",
-        )
-        got = run_policy_batch(
-            inst, factory, 8, rng=21, semantics=semantics,
-            discipline=discipline, kernel=kernel,
-        )
-        assert ref.kernel == "numpy"
-        assert got.kernel == kernel
-        assert np.array_equal(ref.makespans, got.makespans)
-        assert np.array_equal(ref.completion_times, got.completion_times)
-
-    @pytest.mark.parametrize("kernel", ALT_KERNELS)
-    def test_env_selected_backend_bit_identity(self, kernel, monkeypatch):
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy, 8, rng=4)
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
-        got = run_policy_batch(inst, GreedyLRPolicy, 8, rng=4)
-        assert got.kernel == kernel
-        assert np.array_equal(ref.makespans, got.makespans)
-
-
-#: Backends held to the kernel_threads bit-identity contract: numpy and
-#: python take the trial-shard route, numba the in-kernel prange route.
-THREADED_KERNELS = [
-    "numpy",
-    "python",
-    pytest.param("numba", marks=requires_numba),
-]
-
-
-class TestTrialParallelBitIdentity:
-    """``kernel_threads=4`` must be byte-identical to serial on every
-    backend × discipline × policy — covering both mechanisms (shard for
-    serial backends, prange for the threaded numba flavor)."""
-
-    @pytest.mark.parametrize("kernel", THREADED_KERNELS)
-    @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    @pytest.mark.parametrize(
-        "factory,shape,semantics",
-        TestBitIdentity.CASES,
-        ids=[f"{f.__name__}-{sh}-{sem}" for f, sh, sem in TestBitIdentity.CASES],
-    )
-    def test_threads_bit_identity(self, factory, shape, semantics,
-                                  discipline, kernel):
-        inst = make_instance(shape)
-        ref = run_policy_batch(
-            inst, factory, 8, rng=21, semantics=semantics,
-            discipline=discipline, kernel=kernel, kernel_threads=1,
-        )
-        got = run_policy_batch(
-            inst, factory, 8, rng=21, semantics=semantics,
-            discipline=discipline, kernel=kernel, kernel_threads=4,
-        )
-        assert np.array_equal(ref.makespans, got.makespans)
-        assert np.array_equal(ref.completion_times, got.completion_times)
-        assert np.array_equal(ref.busy_machine_steps, got.busy_machine_steps)
-
-    def test_env_selected_threads_bit_identity(self, monkeypatch):
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy, 8, rng=4)
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
-        got = run_policy_batch(inst, GreedyLRPolicy, 8, rng=4)
-        assert np.array_equal(ref.makespans, got.makespans)
-
-    def test_shared_policy_instance_stays_serial_and_correct(self):
-        # A pre-built policy (factory=None) cannot be sharded — one
-        # stateful instance cannot serve concurrent shard runs — so the
-        # threads knob quietly degrades to the serial path.
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy(), 6, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy(), 6, rng=9,
-                               kernel_threads=4)
-        assert np.array_equal(ref.makespans, got.makespans)
-
-    def test_subset_lp_reuse_stays_serial(self, monkeypatch):
-        # Subset reuse picks donor schedules from the shared process
-        # solve cache, whose fill order under concurrent shards depends
-        # on thread scheduling — the shard gate declines rather than go
-        # nondeterministic run to run (explicitly or env-resolved).
-        from repro.sim import batch as batch_mod
-
-        def forbid(*args, **kwargs):  # pragma: no cover - regression trap
-            raise AssertionError("lp_reuse='subset' must not shard")
-
-        monkeypatch.setattr(batch_mod, "_run_sharded", forbid)
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy, 6, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy, 6, rng=9,
-                               kernel_threads=4, lp_reuse="subset")
-        assert np.array_equal(ref.makespans, got.makespans)
-        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
-        got_env = run_policy_batch(inst, GreedyLRPolicy, 6, rng=9,
-                                   kernel_threads=4)
-        assert np.array_equal(ref.makespans, got_env.makespans)
-
-    def test_single_trial_stays_serial(self):
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy, 1, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy, 1, rng=9,
-                               kernel_threads=4)
-        assert np.array_equal(ref.makespans, got.makespans)
-
-    def test_more_threads_than_trials(self):
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9,
-                               kernel_threads=16)
-        assert np.array_equal(ref.makespans, got.makespans)
 
 
 class _EagerChainPolicy(VectorizedPolicy):
@@ -429,39 +87,32 @@ def _chain2_instance():
 
 
 class TestValidateKnob:
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_first_step_always_validated(self, kernel):
+    def test_first_step_always_validated(self):
         # Even trusted runs check t == 0: a policy broken from the start
         # fails fast regardless of the knob.
         with pytest.raises(ScheduleViolationError, match="predecessors"):
             run_policy_batch(
                 _chain2_instance(), lambda: _EagerChainPolicy(early_job=1),
-                3, rng=0, kernel=kernel, validate=False,
+                3, rng=0, validate=False,
             )
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_range_check_at_first_step(self, kernel):
+    def test_range_check_at_first_step(self):
         with pytest.raises(ScheduleViolationError, match="out-of-range"):
             run_policy_batch(
-                _chain2_instance(), _BadJobPolicy, 3, rng=0,
-                kernel=kernel, validate=False,
+                _chain2_instance(), _BadJobPolicy, 3, rng=0, validate=False,
             )
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_late_violation_caught_when_validating(self, kernel):
+    def test_late_violation_caught_when_validating(self):
         with pytest.raises(ScheduleViolationError, match="predecessors"):
             run_policy_batch(
-                _chain2_instance(), _EagerChainPolicy, 8, rng=0,
-                kernel=kernel, validate=True,
+                _chain2_instance(), _EagerChainPolicy, 8, rng=0, validate=True,
             )
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_late_violation_skipped_when_trusted(self, kernel):
+    def test_late_violation_skipped_when_trusted(self):
         # The trust contract: after the first step the driver stops
         # checking, so the (broken) policy runs to completion unharmed.
         result = run_policy_batch(
-            _chain2_instance(), _EagerChainPolicy, 8, rng=0,
-            kernel=kernel, validate=False,
+            _chain2_instance(), _EagerChainPolicy, 8, rng=0, validate=False,
         )
         assert (result.makespans >= 1).all()
 
@@ -510,124 +161,3 @@ class TestSubstreams:
         per = simulate(small_independent, "greedy-lr",
                        SimConfig(n_trials=6, seed=2, substreams="per-policy"))
         assert np.array_equal(shared.stats.samples, per.stats.samples)
-
-
-class TestThreading:
-    def test_report_surfaces_kernel(self, small_independent):
-        report = simulate(small_independent, "greedy-lr",
-                          SimConfig(n_trials=4, seed=1, kernel="python"))
-        assert report.kernel["requested"] == "python"
-        assert report.kernel["active"] == "python"
-        payload = report.to_dict()
-        assert payload["kernel"]["active"] == "python"
-        assert payload["config"]["kernel"] == "python"
-
-    def test_grid_reports_surface_kernel(self):
-        sc = Scenario(shape="independent", n_jobs=8, n_machines=3,
-                      model="specialist", seed=1)
-        reports = evaluate_grid([sc], ("sem",),
-                                config=SimConfig(n_trials=4, seed=1,
-                                                 kernel="python"))
-        assert reports[0].kernel["active"] == "python"
-
-    def test_config_kernel_changes_no_sample(self, small_independent):
-        ref = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2))
-        alt = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2, kernel="python"))
-        assert np.array_equal(ref.stats.samples, alt.stats.samples)
-
-    def test_healthz_reports_kernel(self, monkeypatch):
-        from repro.server.app import SchedulingService
-
-        monkeypatch.setenv(KERNEL_ENV_VAR, "python")
-        status, payload = SchedulingService().handle("GET", "/healthz", None)
-        assert status == 200
-        assert payload["kernel"]["active"] == "python"
-
-    def test_server_simulate_accepts_kernel_config(self):
-        from repro.server.app import SchedulingService
-
-        body = {
-            "scenario": {"shape": "independent", "n_jobs": 8,
-                         "n_machines": 3, "model": "specialist", "seed": 1},
-            "policy": "sem",
-            "config": {"n_trials": 4, "seed": 1, "kernel": "python"},
-        }
-        status, payload = SchedulingService().handle("POST", "/simulate", body)
-        assert status == 200
-        assert payload["config"]["kernel"] == "python"
-        assert payload["kernel"]["active"] == "python"
-
-    def test_warm_pool_executor_reports_kernel(self):
-        from repro.server.executors import make_executor
-
-        executor = make_executor("warm-pool", 1, kernel="python")
-        try:
-            assert executor.stats()["kernel"] == "python"
-            assert not executor.warm  # stats alone must not build the pool
-        finally:
-            executor.close()
-
-    def test_cli_run_accepts_kernel(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        path = str(tmp_path / "inst.json")
-        assert main(["generate", "--shape", "independent", "--jobs", "8",
-                     "--machines", "3", "--seed", "1", "--out", path]) == 0
-        assert main(["run", path, "--policy", "greedy-lr", "--trials", "4",
-                     "--kernel", "python"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel:   python" in out
-
-    def test_cli_rejects_unknown_kernel(self, tmp_path):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["run", "whatever.json", "--kernel", "jax"])
-
-    def test_report_surfaces_kernel_threads(self, small_independent):
-        report = simulate(
-            small_independent, "greedy-lr",
-            SimConfig(n_trials=4, seed=1, kernel="python", kernel_threads=2),
-        )
-        assert report.kernel["threads"] == 2
-        assert report.kernel["inkernel_threads"] is False
-        assert report.to_dict()["config"]["kernel_threads"] == 2
-
-    def test_healthz_reports_kernel_threads(self, monkeypatch):
-        from repro.server.app import SchedulingService
-
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "2")
-        status, payload = SchedulingService().handle("GET", "/healthz", None)
-        assert status == 200
-        assert payload["kernel"]["threads"] == 2
-
-    def test_warm_pool_executor_reports_kernel_threads(self):
-        from repro.server.executors import make_executor
-
-        executor = make_executor("warm-pool", 1, kernel="python",
-                                 kernel_threads=2)
-        try:
-            assert executor.stats()["kernel_threads"] == 2
-            assert not executor.warm  # stats alone must not build the pool
-        finally:
-            executor.close()
-
-    def test_config_kernel_threads_changes_no_sample(self, small_independent):
-        ref = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2))
-        alt = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2, kernel_threads=2))
-        assert np.array_equal(ref.stats.samples, alt.stats.samples)
-
-    def test_cli_run_accepts_kernel_threads(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        path = str(tmp_path / "inst.json")
-        assert main(["generate", "--shape", "independent", "--jobs", "8",
-                     "--machines", "3", "--seed", "1", "--out", path]) == 0
-        assert main(["run", path, "--policy", "greedy-lr", "--trials", "4",
-                     "--kernel", "python", "--kernel-threads", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel:   python (threads=2)" in out

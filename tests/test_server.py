@@ -6,10 +6,10 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.api import Scenario, SimConfig, list_policies, simulate
+from repro.errors import WorkerCrashError
 from repro.loadgen import default_simulate_spec
 from repro.server import (
     HttpError,
@@ -125,6 +125,10 @@ class TestSchedulingServiceRouting:
             ("POST", "/grid", {"scenarios": []}, "non-empty list"),
             ("POST", "/grid", {"scenarios": [SCENARIO], "policies": [1]},
              "policies must be a list"),
+            ("POST", "/simulate", _simulate_body(config={"kernel": "numpy"}),
+             "'kernel'"),
+            ("POST", "/simulate", _simulate_body(config={"kernel_threads": 2}),
+             "'kernel_threads'"),
         ],
     )
     def test_client_errors_are_400s(self, service, method, path, body,
@@ -133,6 +137,18 @@ class TestSchedulingServiceRouting:
             service.handle(method, path, body)
         assert err.value.status in (400, 404, 405)
         assert fragment in err.value.message
+
+    def test_worker_crash_is_a_503_naming_the_crash(self, service, monkeypatch):
+        import repro.server.app as app
+
+        def crash(*args, **kwargs):
+            raise WorkerCrashError("a worker process crashed while running the trials")
+
+        monkeypatch.setattr(app, "simulate", crash)
+        with pytest.raises(HttpError) as err:
+            service.handle("POST", "/simulate", _simulate_body())
+        assert err.value.status == 503
+        assert "worker process crashed" in err.value.message
 
 
 class _Client:

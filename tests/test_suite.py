@@ -66,6 +66,10 @@ class TestSpecLoading:
     def test_unknown_sweep_field(self):
         with pytest.raises(SuiteError, match="dicipline"):
             small_spec(sweep={"dicipline": ["v1"]})
+        # Knobs that were removed fail just as loudly as typos.
+        for removed in ("kernel", "kernel_threads"):
+            with pytest.raises(SuiteError, match=f"'{removed}'"):
+                small_spec(sweep={removed: [1]})
 
     def test_bad_sweep_value(self):
         with pytest.raises(SuiteError, match="sweep value"):
@@ -113,6 +117,10 @@ class TestStrictRoundTrip:
     def test_simconfig_rejects_unknown(self):
         with pytest.raises(InvalidScenarioError, match="trials"):
             SimConfig.from_dict({"trials": 10})
+        # Knobs that were removed fail just as loudly as typos.
+        for removed in ("kernel", "kernel_threads"):
+            with pytest.raises(InvalidScenarioError, match=f"'{removed}'"):
+                SimConfig.from_dict({"n_trials": 4, removed: "numpy"})
 
     def test_grid_rejects_unknown_top_level(self):
         grid = ScenarioGrid(Scenario(), n_jobs=[4, 8])
@@ -145,8 +153,7 @@ class TestDigest:
 
     @pytest.mark.parametrize("field,value", [
         ("n_trials", 41), ("seed", 5), ("semantics", "suu_star"),
-        ("max_steps", 39999), ("discipline", "v2"), ("kernel", "python"),
-        ("kernel_threads", 2), ("lp_reuse", "subset"),
+        ("max_steps", 39999), ("discipline", "v2"), ("lp_reuse", "subset"),
         ("substreams", "per-policy"),
     ])
     def test_config_field_changes_digest(self, field, value):
@@ -173,7 +180,7 @@ class TestDigest:
     def test_env_knob_changes_digest(self, monkeypatch):
         cell = demo_cell()
         base = cell_digest(cell)
-        monkeypatch.setenv("REPRO_KERNEL", "python")
+        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
         assert cell_digest(cell) != base
 
     def test_experiment_digest_insensitive_to_arg_order(self):
