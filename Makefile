@@ -19,7 +19,7 @@ SERVICE_BASELINE ?= BENCH_6.json
 SERVICE_TOLERANCE ?= 0.5
 LPWALL_JSON ?= bench_lpwall_current.json
 LPWALL_BASELINE ?= BENCH_7.json
-# The gated exact/subset wall-clock ratio is ~1.5-2.1x (the sim engine
+# The gated exact/subset wall-clock ratio is ~1.2-1.6x (the sim engine
 # shares both sides; only the solver work differs), so noise is a larger
 # fraction of it; the hard solve-count floor (>= 5x fewer solves) is
 # asserted inside bench_lpwall.py itself and does not depend on timing.

@@ -2,12 +2,14 @@
 
 On a long-job-heavy :func:`~repro.instance.generators.lpwall_instance`,
 every trial entering SEM round ``k >= 2`` carries its own random survivor
-set, so ``lp_reuse="exact"`` pays one full LP1 pipeline per (trial, round)
-— at 10 000 trials that is tens of thousands of solves, and the solver
-dominates the run.  ``lp_reuse="subset"`` derives those near-identical
-sets from shared anchor solves (see ``repro.core.phased``), collapsing
-the solve count by 25-1000x and the wall-clock by ~1.5-2x while the
-makespan distribution stays statistically indistinguishable.
+set, so ``lp_reuse="exact"`` pays one full LP1 pipeline per distinct
+(target, survivor set) — at 10 000 trials that is about ten thousand
+solves, and the solver dominates the run.  ``lp_reuse="subset"`` derives
+those near-identical sets from shared anchor solves (see
+``repro.core.phased``), collapsing the solve count by 25-560x and the
+wall-clock by ~1.2-1.6x while the makespan distribution stays
+statistically indistinguishable.  Each row records its solve count and
+mean makespan in ``extra_info``.
 
 Naming convention: exact/subset pairs share a suffix
 (``test_lpwall_exact_<key>`` / ``test_lpwall_subset_<key>``) — that is
@@ -22,6 +24,8 @@ gate.
 Run with ``make bench-lpwall``; ``BENCH_7.json`` records the measured
 trajectory.
 """
+
+import os
 
 import numpy as np
 
@@ -75,14 +79,24 @@ def _run(key: str, lp_reuse: str):
     return result.makespans, solves
 
 
+def _record(benchmark, samples, solves: int) -> None:
+    """Solve count and mean makespan into the row's ``extra_info``."""
+    benchmark.extra_info.update(
+        lp_solves=solves,
+        mean_makespan=float(samples.mean()),
+        cpu_count=os.cpu_count(),
+    )
+
+
 def _exact_side(benchmark, key: str):
     samples, solves = benchmark.pedantic(
         lambda: _run(key, "exact"), rounds=1, iterations=1
     )
     _EXACT_SIDE[key] = (solves, float(samples.mean()))
+    _record(benchmark, samples, solves)
     assert samples.size == N_TRIALS
     # The wall: nearly one distinct solve per trial (a few trials finish
-    # in round 1 or happen to share a survivor set; measured ~0.93-2.0
+    # in round 1 or happen to share a survivor set; measured ~0.93-1.01
     # solves per trial across the three configs).
     assert solves >= 0.8 * N_TRIALS
 
@@ -91,6 +105,7 @@ def _subset_side(benchmark, key: str):
     samples, solves = benchmark.pedantic(
         lambda: _run(key, "subset"), rounds=1, iterations=1
     )
+    _record(benchmark, samples, solves)
     assert samples.size == N_TRIALS
     exact = _EXACT_SIDE.get(key)
     if exact is None:  # subset benchmark ran solo; nothing to compare

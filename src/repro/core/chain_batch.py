@@ -583,8 +583,8 @@ class ChainCursorBatch:
         hands the distinct (target, survivor set) misses to
         ``RoundScheduleCache.ensure_many`` — concurrent solves, and under
         ``lp_reuse="subset"`` a shared union-anchor solve most members then
-        derive from.  Purely cache-warming: the serial ``_sem_key`` walk
-        that follows produces identical keys whether or not this ran.
+        derive from.  Results-neutral: the serial ``_sem_key`` walk that
+        follows produces identical keys whether or not this ran.
         """
         requests = []
         for b in sem.tolist():

@@ -175,6 +175,12 @@ class ProcessSolveCache:
       set, and :meth:`evict_instance` lets callers drop one instance
       eagerly.
 
+    The entry bound never makes a batch redo its own work: the schedules
+    a :class:`RoundScheduleCache` boundary pre-pass warms are also staged
+    in that batch's own table until the step's lookups consume them, so
+    a boundary wider than ``max_entries`` evicts only what other batches
+    would reuse, not what this step is about to read.
+
     The cache is per *process*.  Worker pools install (size) it through
     their initializer (:func:`install_solve_cache`); in-process use hits
     the module-level instance directly.  ``REPRO_SOLVE_CACHE=0`` disables
@@ -196,6 +202,7 @@ class ProcessSolveCache:
         self._mu = threading.RLock()
         self.solves = 0  # misses that ran a real solve pipeline
         self.hits = 0
+        self.evictions = 0  # entries dropped by either eviction axis
 
     @property
     def enabled(self) -> bool:
@@ -265,6 +272,7 @@ class ProcessSolveCache:
             while len(self._entries) > self.max_entries:
                 old_key, _ = self._entries.popitem(last=False)
                 self._forget(old_key)
+                self.evictions += 1
         return value
 
     def evict_instance(self, digest) -> int:
@@ -275,6 +283,7 @@ class ProcessSolveCache:
                 return 0
             for key in keys:
                 self._entries.pop(key, None)
+            self.evictions += len(keys)
             return len(keys)
 
     def clear(self) -> None:
@@ -284,6 +293,7 @@ class ProcessSolveCache:
             self._digests.clear()
             self.solves = 0
             self.hits = 0
+            self.evictions = 0
 
 
 _SHARED_SOLVE_CACHE = ProcessSolveCache()
@@ -314,7 +324,8 @@ def clear_solve_cache() -> None:
 
 
 def solve_cache_stats() -> dict:
-    """Counters of the process-wide cache: entries / instances / solves / hits.
+    """Counters of the process-wide cache: entries / instances / solves /
+    hits / evictions.
 
     Module-level (and picklable-return) so worker pools can sample a
     worker's cache through ``pool.submit(solve_cache_stats)`` — how the
@@ -328,6 +339,7 @@ def solve_cache_stats() -> dict:
         "instances": len(_SHARED_SOLVE_CACHE._digests),
         "solves": _SHARED_SOLVE_CACHE.solves,
         "hits": _SHARED_SOLVE_CACHE.hits,
+        "evictions": _SHARED_SOLVE_CACHE.evictions,
     }
     stats.update(LP_STATS.snapshot())
     return stats
@@ -373,6 +385,9 @@ class RoundScheduleCache:
         self.coalesced_solves = 0
         #: target -> list of (sorted survivor array, schedule) donors.
         self._donors: dict[float, list] = {}
+        #: key -> schedule warmed by the latest exact-mode ``ensure_many``,
+        #: held until ``schedule_id`` consumes it (see ``ensure_many``).
+        self._staged: dict = {}
 
     def _solve(self, target: float, jobs: np.ndarray) -> FiniteObliviousSchedule:
         relaxation = solve_lp1(self.instance, jobs=jobs, target=target)
@@ -494,7 +509,11 @@ class RoundScheduleCache:
         ``count=False`` suppresses the reuse-hit counters: ``ensure_many``
         warms keys through this method, and the follow-up ``schedule_id``
         call will count the (single) reuse when it peeks the warmed entry.
+        A schedule staged by an exact-mode ``ensure_many`` is taken first.
         """
+        staged = self._staged.pop(key, None)
+        if staged is not None:
+            return staged
         target = key[0]
         jobs = np.frombuffer(key[1], dtype=np.int64)
         shared = shared_solve_cache()
@@ -546,11 +565,10 @@ class RoundScheduleCache:
         """Warm the caches for several upcoming ``(target, jobs)`` lookups.
 
         Called by ``begin_step`` pre-passes when a lock-step boundary is
-        about to request multiple distinct survivor-set schedules.  Purely
-        a cache-warming step — the subsequent serial :meth:`schedule_id`
-        calls assign ids and produce identical results whether or not this
-        ran (the solve pipeline is deterministic), so correctness and v1
-        bit-identity are untouched.
+        about to request multiple distinct survivor-set schedules.  The
+        subsequent serial :meth:`schedule_id` calls assign ids and produce
+        identical results whether or not this ran (the solve pipeline is
+        deterministic), so correctness and v1 bit-identity are untouched.
 
         Misses are handled by mode:
 
@@ -562,8 +580,17 @@ class RoundScheduleCache:
           gate failures falling back to their own solves.
         * ``exact`` — misses at one boundary solve concurrently on a
           small thread pool (scipy's HiGHS releases the GIL).  The solves
-          are the same deterministic pipelines, merely overlapped.
+          are the same deterministic pipelines, merely overlapped.  Their
+          schedules, and those of the boundary's process-cache hits, are
+          *staged*: held in this batch's table until :meth:`schedule_id`
+          takes them, so the bounded process cache cannot evict a warmed
+          schedule before this step reads it (a boundary with more
+          survivor sets than ``max_entries`` would otherwise solve each
+          one twice).  The solved schedules still enter the process cache
+          for other batches.  Staging is scoped to one step: the next
+          call drops whatever the last one staged and nobody read.
         """
+        self._staged.clear()
         pending: dict = {}
         for target, jobs in requests:
             jobs = np.ascontiguousarray(jobs, dtype=np.int64)
@@ -582,6 +609,8 @@ class RoundScheduleCache:
             if hit is not None:
                 if subset:
                     self._register_donor(key[0], jobs, hit)
+                else:
+                    self._staged[key] = hit
                 continue
             if subset and shared.peek(self._sub_key(key, eps)) is not None:
                 continue
@@ -627,6 +656,7 @@ class RoundScheduleCache:
                     pool.map(lambda k: self._solve(k[0], solo[k]), keys)
                 )
             for key, schedule in zip(keys, solved):
+                self._staged[key] = schedule
                 shared.lookup(self._shared_key(key), lambda s=schedule: s)
             self.coalesced_batches += 1
             self.coalesced_solves += len(keys)

@@ -208,11 +208,11 @@ class SUUISemPolicy(PhasedPolicy):
         """Boundary pre-pass: warm the round-schedule cache for every trial
         about to start a new round this step.
 
-        Purely cache-warming (see ``RoundScheduleCache.ensure_many``):
-        distinct survivor-set misses discovered at one lock-step boundary
-        solve coalesced — concurrently, and under ``lp_reuse="subset"``
-        through a shared union-anchor solve — instead of one by one inside
-        the serial ``phase_key`` walk.
+        Results-neutral (see ``RoundScheduleCache.ensure_many``): distinct
+        survivor-set misses discovered at one lock-step boundary solve
+        coalesced — concurrently and staged for this step's lookups, and
+        under ``lp_reuse="subset"`` through a shared union-anchor solve —
+        instead of one by one inside the serial ``phase_key`` walk.
         """
         requests = []
         for k, cursor in enumerate(self._cursors):

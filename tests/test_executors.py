@@ -41,6 +41,7 @@ class TestProcessSolveCacheLRU:
         assert k[0] in cache._entries
         assert k[1] not in cache._entries  # LRU victim
         assert set(cache._entries) == {k[0], k[2], k[3]}
+        assert cache.evictions == 1
 
     def test_hit_returns_cached_value_and_counts(self):
         cache = ProcessSolveCache(max_entries=4)
@@ -95,6 +96,9 @@ class TestProcessSolveCacheInstanceScoping:
         assert cache.evict_instance("dig-a") == 3
         assert set(cache._entries) == {("lp", "dig-b", 0)}
         assert cache.evict_instance("dig-a") == 0  # idempotent
+        assert cache.evictions == 3
+        cache.clear()
+        assert cache.evictions == 0
 
     def test_digestless_keys_are_tolerated(self):
         cache = ProcessSolveCache(max_entries=4, max_instances=1)

@@ -23,9 +23,11 @@ from repro.core.lp2 import solve_lp2
 from repro.core.phased import (
     RoundScheduleCache,
     clear_solve_cache,
+    install_solve_cache,
     lp_reuse_context,
     lp_reuse_eps,
     resolve_lp_reuse,
+    shared_solve_cache,
     solve_cache_stats,
 )
 from repro.core.adaptive import SUUIAdaptiveLPPolicy
@@ -281,6 +283,87 @@ class TestSubsetReuseCollapse:
         # only drift comes from derived schedule lengths).
         e, s = exact.makespans.mean(), subset.makespans.mean()
         assert abs(s - e) <= 0.05 * e
+
+
+# ---------------------------------------------------------------------------
+# A bounded process cache never makes exact mode solve a survivor set twice.
+
+
+@pytest.fixture
+def tiny_solve_cache():
+    """The process cache shrunk to 4 entries; its size is restored after."""
+    previous = shared_solve_cache().max_entries
+    install_solve_cache(max_entries=4)
+    clear_solve_cache()
+    try:
+        yield
+    finally:
+        install_solve_cache(max_entries=previous)
+        clear_solve_cache()
+
+
+class TestStagedBoundarySolves:
+    def test_boundary_wider_than_cache_solves_each_key_once(self, tiny_solve_cache):
+        instance = lpwall_instance(n_jobs=24, n_machines=2)
+        rng = np.random.default_rng(5)
+        requests = [
+            (0.5, np.sort(rng.choice(24, size=12, replace=False)).astype(np.int64))
+            for _ in range(10)
+        ]
+        distinct = {(t, jobs.tobytes()) for t, jobs in requests}
+        assert len(distinct) > 4
+        with lp_reuse_context("exact"):
+            # An earlier batch leaves one key in the process cache: the
+            # boundary's own solves evict it before this step reads it.
+            RoundScheduleCache(instance, PAPER_SCALE).schedule_id(*requests[0])
+            cache = RoundScheduleCache(instance, PAPER_SCALE)
+            reset_lp_stats()
+            cache.ensure_many(requests)
+            sids = [cache.schedule_id(t, jobs) for t, jobs in requests]
+        assert lp_stats_snapshot()["lp_solves"] == len(distinct) - 1
+        assert len(set(sids)) == len(distinct)
+        assert solve_cache_stats()["evictions"] > 0  # the bound still held
+
+    def test_batch_solves_do_not_depend_on_the_cache_bound(self, tiny_solve_cache):
+        instance = lpwall_instance(n_jobs=24, n_machines=2)
+        reset_lp_stats()
+        small = _sem_batch(instance, 64, lp_reuse="exact")
+        small_solves = lp_stats_snapshot()["lp_solves"]
+        install_solve_cache(max_entries=4096)
+        clear_solve_cache()
+        reset_lp_stats()
+        large = _sem_batch(instance, 64, lp_reuse="exact")
+        assert lp_stats_snapshot()["lp_solves"] == small_solves
+        assert small.makespans.tobytes() == large.makespans.tobytes()
+
+
+class TestSemSolvesPastTheCacheBound:
+    """1000 trials of SEM: above the default 512-entry process cache."""
+
+    N_TRIALS = 1000
+
+    def _solves(self, **kwargs):
+        clear_solve_cache()
+        report = simulate(
+            lpwall_instance(48, 2),
+            "sem",
+            SimConfig(n_trials=self.N_TRIALS, seed=7, discipline="v2",
+                      lp_reuse="exact"),
+            **kwargs,
+        )
+        return report.lp_stats["lp_solves"]
+
+    @pytest.fixture(scope="class")
+    def serial_solves(self):
+        return self._solves()
+
+    def test_serial_solves_about_once_per_trial(self, serial_solves):
+        assert serial_solves <= self.N_TRIALS + 100
+
+    def test_serial_solves_no_more_than_process(self, serial_solves):
+        # Each process worker solves its own round-1 anchors, so the
+        # process backend can only add solves, never save them.
+        assert serial_solves <= self._solves(backend="process", n_workers=2)
 
 
 class TestRestrictProperties:

@@ -247,7 +247,8 @@ class TestRunner:
         assert "| obl |" in md and outcome.outcomes[0].digest[:12] in md
 
     def test_artifact_contents(self, tmp_path):
-        spec = small_spec()
+        # Pinned: an unpinned config resolves REPRO_DISCIPLINE at run time.
+        spec = small_spec(config={**SMALL["config"], "discipline": "v1"})
         out = tmp_path / "r"
         outcome = SuiteRunner(spec, out).run()
         record = outcome.outcomes[0]
